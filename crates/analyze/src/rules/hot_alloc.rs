@@ -41,12 +41,15 @@ const DENY: &[(&str, &str, Severity)] = &[
     ),
 ];
 
-/// Is `rel_path` in the hot-path set? The set is the RHS call graph:
+/// Is `rel_path` in the hot-path set? The set is the RHS call graph —
 /// the kinetic operator and its block-parallel driver, collisions,
 /// moments, the Maxwell surface path, every generated kernel, and the
-/// telemetry collection layer those sweeps call into.
+/// telemetry collection layer those sweeps call into — plus the per-cell
+/// loops of set-up that run once per cell of the grid (the tabulated
+/// initial-condition projection).
 pub fn is_hot_path(rel_path: &str) -> bool {
     const HOT: &[&str] = &[
+        "crates/basis/src/project.rs",
         "crates/core/src/vlasov.rs",
         "crates/core/src/blocks.rs",
         "crates/core/src/lbo.rs",

@@ -28,7 +28,8 @@ use crate::lbo::LboOp;
 use crate::observer::{Frame, Observer, Trigger};
 use crate::species::Species;
 use crate::system::{validate_conf_bcs, FluxKind, SystemState, VlasovMaxwell};
-use dg_basis::{project, Basis, BasisKind};
+use dg_basis::project::Projector;
+use dg_basis::{Basis, BasisKind};
 use dg_grid::{Bc, CartGrid, DgField, DimBc, PhaseGrid};
 use dg_kernels::{kernels_for, KernelDispatch, PhaseLayout};
 use dg_maxwell::flux::PhmParams;
@@ -272,7 +273,9 @@ impl AppBuilder {
     }
 
     /// Gauss points per dimension for initial-condition projection
-    /// (default `p + 3`).
+    /// (default `p + 3`). Fewer than `p + 1` is a build error: such a rule
+    /// cannot integrate products of basis functions exactly, so it would
+    /// not be an L2 projection.
     pub fn init_quadrature(mut self, npts: usize) -> Self {
         self.init_quad_npts = Some(npts);
         self
@@ -318,6 +321,17 @@ impl AppBuilder {
         let cdim = ccells.len();
         if self.species.is_empty() {
             return Err(Error::Build("at least one species required".into()));
+        }
+        let npts = self.init_quad_npts.unwrap_or(self.poly_order + 3);
+        if npts <= self.poly_order {
+            // An n-point rule is exact to degree 2n − 1 < 2p: the basis is
+            // not orthonormal under it, so the result is no L2 projection.
+            return Err(Error::Build(format!(
+                "init_quadrature needs at least p + 1 = {} Gauss points per dimension \
+                 for a degree-{} basis, got {npts}",
+                self.poly_order + 1,
+                self.poly_order
+            )));
         }
         let vdim = self.species[0].vcells.len();
         for s in &self.species {
@@ -399,7 +413,6 @@ impl AppBuilder {
             fspec.flux,
         );
 
-        let npts = self.init_quad_npts.unwrap_or(self.poly_order + 3);
         let mut species = Vec::new();
         let mut collisions: Vec<Option<LboOp>> = Vec::new();
         for spec in self.species.iter_mut() {
@@ -508,7 +521,8 @@ fn env_telemetry() -> bool {
         .unwrap_or(false)
 }
 
-/// Project per-component field initial conditions onto the conf basis.
+/// Project the six field components' initial conditions onto the conf
+/// basis: one shared [`Projector`], one `init` call per Gauss point.
 fn project_field_ic(
     basis: &Basis,
     grid: &CartGrid,
@@ -516,19 +530,14 @@ fn project_field_ic(
     init: &mut FieldFn,
     em: &mut DgField,
 ) {
+    let proj = Projector::new(basis, npts);
     let cdim = grid.ndim();
-    let nc = basis.len();
     let mut cidx = vec![0usize; cdim];
     let mut center = vec![0.0; cdim];
-    let mut buf = vec![0.0; nc];
     for lin in 0..grid.len() {
         grid.delinearize(lin, &mut cidx);
         grid.cell_center(&cidx, &mut center);
-        for comp in 0..6 {
-            let mut g = |z: &[f64]| init(z)[comp];
-            project::project_cell(basis, npts, &center, grid.dx(), &mut g, &mut buf);
-            em.cell_mut(lin)[comp * nc..(comp + 1) * nc].copy_from_slice(&buf);
-        }
+        proj.project_components(&center, grid.dx(), init, em.cell_mut(lin));
     }
 }
 
@@ -1013,6 +1022,7 @@ fn fire(
 mod tests {
     use super::*;
     use crate::species::maxwellian;
+    use dg_poly::quad::TensorGauss;
 
     #[test]
     fn build_rejects_missing_pieces() {
@@ -1021,6 +1031,128 @@ mod tests {
             .conf_grid(&[0.0], &[1.0], &[4])
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn build_rejects_quadrature_below_p_plus_one() {
+        let p = 2;
+        let with_npts = |npts: usize| {
+            AppBuilder::new()
+                .conf_grid(&[0.0], &[1.0], &[2])
+                .poly_order(p)
+                .species(
+                    SpeciesSpec::new("elc", -1.0, 1.0, &[-4.0], &[4.0], &[4])
+                        .initial(|_x, v| maxwellian(1.0, &[0.0], 1.0, v)),
+                )
+                .init_quadrature(npts)
+                .build()
+        };
+        for npts in [0, p] {
+            match with_npts(npts) {
+                Err(Error::Build(msg)) => assert!(
+                    msg.contains("p + 1 = 3") && msg.contains(&format!("got {npts}")),
+                    "{msg}"
+                ),
+                Err(e) => panic!("npts={npts}: wrong error kind {e}"),
+                Ok(_) => panic!("npts={npts} must be refused"),
+            }
+        }
+        assert!(with_npts(p + 1).is_ok());
+    }
+
+    /// The per-point projection the tabulated [`Projector`] replaces:
+    /// rule walked and every basis function evaluated at each point.
+    fn reference_project(
+        basis: &Basis,
+        npts: usize,
+        center: &[f64],
+        dx: &[f64],
+        f: &mut dyn FnMut(&[f64]) -> f64,
+        out: &mut [f64],
+    ) {
+        let ndim = basis.ndim();
+        out.fill(0.0);
+        let mut xi = vec![0.0; ndim];
+        let mut z = vec![0.0; ndim];
+        let mut scratch = vec![0.0; ndim * (basis.poly_order() + 1)];
+        let mut wvals = vec![0.0; basis.len()];
+        let mut tg = TensorGauss::new(npts, ndim);
+        while let Some(w) = tg.next_point(&mut xi) {
+            for d in 0..ndim {
+                z[d] = center[d] + 0.5 * dx[d] * xi[d];
+            }
+            let fv = f(&z);
+            basis.eval_all_with(&xi, &mut scratch, &mut wvals);
+            for (o, wv) in out.iter_mut().zip(&wvals) {
+                *o += w * fv * wv;
+            }
+        }
+    }
+
+    #[test]
+    fn build_projects_initial_state_bitwise_like_per_point_reference() {
+        // The paper's 2X3V p=2 Serendipity layout on a shrunk grid, with a
+        // drifting, perturbed Maxwellian and a six-component field IC.
+        let f0 = |x: &[f64], v: &[f64]| {
+            let n = 1.0 + 0.1 * (0.7 * x[0]).cos() * (0.4 * x[1] + 0.3).sin();
+            maxwellian(n, &[0.2, -0.1, 0.3], 0.8, v)
+        };
+        let e0 = |x: &[f64]| {
+            let (a, b) = (x[0], x[1]);
+            [
+                a.sin(),
+                0.5 * b.cos(),
+                0.1 * a * b,
+                (a - b).exp(),
+                0.0,
+                (a * b).cos(),
+            ]
+        };
+        let app = AppBuilder::new()
+            .conf_grid(&[0.0, -1.0], &[2.0, 2.0], &[2, 1])
+            .poly_order(2)
+            .species(
+                SpeciesSpec::new("elc", -1.0, 1.0, &[-3.0; 3], &[3.0; 3], &[2, 1, 2]).initial(f0),
+            )
+            .field(FieldSpec::new(1.0).with_ic(e0))
+            .build()
+            .unwrap();
+        let sys = app.system();
+        let npts = 2 + 3;
+        let (grid, basis) = (&sys.grid, &sys.kernels.phase_basis);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut size = vec![0.0; grid.ndim()];
+        grid.cell_size(&mut size);
+        let mut center = vec![0.0; grid.ndim()];
+        let (mut cidx, mut vidx) = (vec![0; grid.cdim()], vec![0; grid.vdim()]);
+        let mut want = vec![0.0; basis.len()];
+        for clin in 0..grid.conf.len() {
+            grid.conf.delinearize(clin, &mut cidx);
+            for vlin in 0..grid.vel.len() {
+                grid.vel.delinearize(vlin, &mut vidx);
+                grid.cell_center(&cidx, &vidx, &mut center);
+                let mut g = |z: &[f64]| f0(&z[..2], &z[2..]);
+                reference_project(basis, npts, &center, &size, &mut g, &mut want);
+                let cell = grid.phase_index(clin, vlin);
+                assert_eq!(bits(app.state().species_f[0].cell(cell)), bits(&want));
+            }
+        }
+
+        let (cgrid, cbasis) = (&sys.maxwell.grid, &sys.maxwell.basis);
+        let nc = cbasis.len();
+        let mut want = vec![0.0; nc];
+        for lin in 0..cgrid.len() {
+            cgrid.delinearize(lin, &mut cidx);
+            cgrid.cell_center(&cidx, &mut center[..2]);
+            let cell = app.state().em.cell(lin);
+            for comp in 0..6 {
+                let mut g = |z: &[f64]| e0(z)[comp];
+                reference_project(cbasis, npts, &center[..2], cgrid.dx(), &mut g, &mut want);
+                assert_eq!(bits(&cell[comp * nc..(comp + 1) * nc]), bits(&want));
+            }
+            assert!(cell[6 * nc..].iter().all(|&v| v == 0.0));
+        }
     }
 
     #[test]

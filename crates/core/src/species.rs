@@ -4,7 +4,7 @@
 // `needless_range_loop` rewrites would obscure that (workspace allow
 // was scoped down to the modules that need it).
 #![allow(clippy::needless_range_loop)]
-use dg_basis::project;
+use dg_basis::project::Projector;
 use dg_grid::{DgField, PhaseGrid};
 use dg_kernels::PhaseKernels;
 use std::sync::Arc;
@@ -39,7 +39,11 @@ impl Species {
     }
 
     /// Project an initial condition `f0(x, v)` onto every phase cell with
-    /// `npts` Gauss points per dimension.
+    /// `npts` Gauss points per dimension. One [`Projector`] — the Gauss
+    /// rule and the basis tabulated at its nodes — serves every cell, so
+    /// the per-cell loop allocates nothing and evaluates no basis
+    /// function; the result is bit-identical to evaluating the basis
+    /// point by point (see [`dg_basis::project`]).
     pub fn project_initial(
         &mut self,
         kernels: &Arc<PhaseKernels>,
@@ -47,6 +51,7 @@ impl Species {
         npts: usize,
         f0: &mut impl FnMut(&[f64], &[f64]) -> f64,
     ) {
+        let proj = Projector::new(&kernels.phase_basis, npts);
         let ndim = grid.ndim();
         let cdim = grid.cdim();
         let mut center = vec![0.0; ndim];
@@ -54,21 +59,14 @@ impl Species {
         grid.cell_size(&mut size);
         let mut cidx = vec![0usize; cdim];
         let mut vidx = vec![0usize; grid.vdim()];
+        let mut g = |z: &[f64]| f0(&z[..cdim], &z[cdim..]);
         for clin in 0..grid.conf.len() {
             grid.conf.delinearize(clin, &mut cidx);
             for vlin in 0..grid.vel.len() {
                 grid.vel.delinearize(vlin, &mut vidx);
                 grid.cell_center(&cidx, &vidx, &mut center);
                 let cell = grid.phase_index(clin, vlin);
-                let mut g = |z: &[f64]| f0(&z[..cdim], &z[cdim..]);
-                project::project_cell(
-                    &kernels.phase_basis,
-                    npts,
-                    &center,
-                    &size,
-                    &mut g,
-                    self.f.cell_mut(cell),
-                );
+                proj.project(&center, &size, &mut g, self.f.cell_mut(cell));
             }
         }
     }

@@ -151,7 +151,8 @@ impl MomentKernels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_basis::{project, BasisKind};
+    use dg_basis::project::Projector;
+    use dg_basis::BasisKind;
 
     /// Project a separable f(x,v), take moments through the kernels, and
     /// compare with the analytic reductions.
@@ -168,9 +169,7 @@ mod tests {
         let center = [0.3, 0.5, -1.0];
         let dx = [0.8, 1.0, 2.0];
         let mut coeffs = vec![0.0; phase.len()];
-        project::project_cell(
-            &phase,
-            4,
+        Projector::new(&phase, 4).project(
             &center,
             &dx,
             &mut |z: &[f64]| g(z[0]) * q(z[1], z[2]),

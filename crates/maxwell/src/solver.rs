@@ -383,7 +383,7 @@ impl MaxwellDg {
 mod tests {
     use super::*;
     use crate::energy::em_energy;
-    use dg_basis::project;
+    use dg_basis::project::Projector;
 
     /// SSP-RK3 helper for the tests.
     fn step(mx: &MaxwellDg, em: &mut DgField, dt: f64) {
@@ -423,9 +423,7 @@ mod tests {
         for i in 0..mx.grid.len() {
             let center = [mx.grid.center(0, i)];
             let dx = [mx.grid.dx()[0]];
-            project::project_cell(
-                &mx.basis,
-                p + 3,
+            Projector::new(&mx.basis, p + 3).project(
                 &center,
                 &dx,
                 &mut |z: &[f64]| (2.0 * std::f64::consts::PI * z[0]).cos(),
@@ -650,7 +648,7 @@ mod tests_2d {
     use super::*;
     use crate::energy::em_energy;
     use crate::flux::{PhmParams, BZ, EY, PHI};
-    use dg_basis::project;
+    use dg_basis::project::Projector;
 
     fn step(mx: &MaxwellDg, em: &mut DgField, dt: f64) {
         let mut rhs = mx.new_field();
@@ -692,9 +690,7 @@ mod tests_2d {
             mx.grid.delinearize(i, &mut idx);
             let mut center = [0.0; 2];
             mx.grid.cell_center(&idx, &mut center);
-            project::project_cell(
-                &mx.basis,
-                5,
+            Projector::new(&mx.basis, 5).project(
                 &center,
                 mx.grid.dx(),
                 &mut |z: &[f64]| (2.0 * std::f64::consts::PI * z[0]).cos(),
@@ -746,9 +742,7 @@ mod tests_2d {
             let mut buf = vec![0.0; nc];
             for i in 0..mx.grid.len() {
                 let center = [mx.grid.center(0, i)];
-                project::project_cell(
-                    &mx.basis,
-                    5,
+                Projector::new(&mx.basis, 5).project(
                     &center,
                     mx.grid.dx(),
                     &mut |z: &[f64]| (2.0 * std::f64::consts::PI * z[0]).sin(),
@@ -797,9 +791,7 @@ mod tests_2d {
         let mut buf = vec![0.0; nc];
         for i in 0..mx.grid.len() {
             let center = [mx.grid.center(0, i)];
-            project::project_cell(
-                &mx.basis,
-                4,
+            Projector::new(&mx.basis, 4).project(
                 &center,
                 mx.grid.dx(),
                 &mut |z: &[f64]| (2.0 * std::f64::consts::PI * z[0]).cos(),

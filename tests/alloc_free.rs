@@ -6,7 +6,8 @@
 //! unrolled kernels and runtime sparse) must perform **zero heap
 //! allocations** — every
 //! buffer, index scratch, staging slice, and weak-solve factorization
-//! lives in persistent scratch. A counting global allocator enforces this
+//! lives in persistent scratch. The same holds for the per-cell loop of
+//! initial-condition projection once its projector is tabulated. A counting global allocator enforces this
 //! directly: warm everything up once, then count.
 //!
 //! This file deliberately holds a single `#[test]` — the counter is
@@ -16,7 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
-use vlasov_dg::basis::BasisKind;
+use vlasov_dg::basis::project::Projector;
+use vlasov_dg::basis::{Basis, BasisKind};
 use vlasov_dg::core::app::{AppBuilder, FieldSpec, SpeciesSpec};
 use vlasov_dg::core::blocks::BlockRhs;
 use vlasov_dg::core::lbo::LboOp;
@@ -299,5 +301,28 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         delta.counter(vlasov_dg::telemetry::Counter::RhsEvals),
         3,
         "collection was not actually active during the counted loop"
+    );
+
+    // --- Initial-condition projection: the per-cell set-up loop. Once a
+    // projector has tabulated its Gauss rule and basis values, projecting
+    // a cell — a scalar distribution or the six field components in one
+    // pass — allocates nothing. ---
+    let basis = Basis::new(BasisKind::Serendipity, 3, 2);
+    let proj = Projector::new(&basis, 5);
+    let mut coeffs = vec![0.0; 6 * basis.len()];
+    let mut f0 = |z: &[f64]| maxwellian(1.0 + 0.05 * z[0], &[0.3, -0.2], 0.9, &z[1..]);
+    let mut e0 = |z: &[f64]| [z[0], z[1].sin(), z[2], 0.0, 0.0, 1.0];
+    let dx = [0.5, 1.5, 2.0];
+    proj.project(&[0.0; 3], &dx, &mut f0, &mut coeffs); // warm-up
+    let n = count_allocs(|| {
+        for c in 0..3 {
+            let center = [0.25 * c as f64, -1.0, 2.0];
+            proj.project(&center, &dx, &mut f0, &mut coeffs);
+            proj.project_components(&center, &dx, &mut e0, &mut coeffs);
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "projecting with a warmed projector allocated {n} times"
     );
 }
