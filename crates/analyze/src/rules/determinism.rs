@@ -1,7 +1,8 @@
 //! Rule family 3: the determinism lint.
 //!
 //! Bit-identical results at every thread/rank count are a load-bearing
-//! invariant (`tests/threaded_equiv.rs`, `tests/backend_equiv.rs`).
+//! invariant (`tests/threaded_equiv.rs`, `tests/backend_equiv.rs`,
+//! `tests/parallel_equiv.rs`).
 //! Two static hazards are flagged:
 //!
 //! 1. **Hash-order iteration.** Iterating a `HashMap`/`HashSet` yields a
@@ -12,9 +13,10 @@
 //! 2. **Worker-closure float accumulation.** Compound accumulation
 //!    (`+=`, `-=`, `*=`) or `fold`/`sum` inside a closure passed to
 //!    `.scope(` / `.broadcast(` / `.spawn(` / `::spawn(` runs in
-//!    scheduler order. The blessed pattern is what `BlockRhs` does:
-//!    accumulate into per-block scratch inside the closure-free sweep,
-//!    reduce in block order on the main thread after the barrier.
+//!    scheduler order. The blessed pattern is what the block driver's
+//!    `BlockSweep` does: accumulate into per-block scratch inside the
+//!    closure-free sweep, reduce in block order on the main thread after
+//!    the barrier.
 //!    Braceless closures are covered too: the closure expression itself
 //!    is scanned, and when it is a single call to a same-file function
 //!    (the `pool.broadcast(|_| run_worker(&shared))` scheduler idiom),
@@ -160,7 +162,7 @@ fn worker_closure_accumulation(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
                         message: format!(
                             "accumulation inside a worker closure (line {} `{}`): reductions must \
                              be block-ordered on the main thread after the barrier, as in \
-                             `BlockRhs::species_rhs`",
+                             `blocks::BlockSweep::species_rhs`",
                             li + 1,
                             spawner_tag(spawner),
                         ),
@@ -205,7 +207,7 @@ fn braceless_spawner_argument(
             severity: Severity::Error,
             message: format!(
                 "accumulation inside a worker closure (`{}`): reductions must be block-ordered \
-                 on the main thread after the barrier, as in `BlockRhs::species_rhs`",
+                 on the main thread after the barrier, as in `blocks::BlockSweep::species_rhs`",
                 spawner_tag(spawner),
             ),
         });
@@ -231,7 +233,7 @@ fn braceless_spawner_argument(
                 message: format!(
                     "accumulation in `{callee}`, the body of the worker closure at line {} \
                      (`{}`): reductions must be block-ordered on the main thread after the \
-                     barrier, as in `BlockRhs::species_rhs`",
+                     barrier, as in `blocks::BlockSweep::species_rhs`",
                     li + 1,
                     spawner_tag(spawner),
                 ),
@@ -512,7 +514,7 @@ fn deeper(shared: &Shared) {
 
     #[test]
     fn braced_closure_callees_are_not_followed() {
-        // The blessed `BlockRhs` shape: a braced worker closure calling a
+        // The blessed `BlockSweep` shape: a braced worker closure calling a
         // helper that reduces into its *own* per-block scratch.
         let src = "\
 fn f(pool: &P) {

@@ -22,15 +22,15 @@ use dg_basis::BasisKind;
 use dg_bench::report::{bench_json_path, merge_section, JsonObj};
 use dg_bench::{env_usize, synth};
 use dg_core::app::{AppBuilder, FieldSpec, SpeciesSpec};
-use dg_core::blocks::BlockRhs;
+use dg_core::blocks::Driver;
 use dg_core::species::maxwellian;
-use dg_core::system::{FluxKind, SystemState, VlasovMaxwell};
+use dg_core::system::{FluxKind, SystemState};
 use dg_core::vlasov::{VlasovOp, VlasovWorkspace};
 use dg_grid::{Bc, CartGrid, DgField, PhaseGrid};
 use dg_kernels::codegen::MANIFEST;
 use dg_kernels::{kernels_for, KernelDispatch};
 use dg_maxwell::NCOMP;
-use dg_telemetry::{Collector, Counter, Registry};
+use dg_telemetry::{Counter, Registry};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -196,29 +196,35 @@ fn main() {
     );
 
     // --- Intra-rank cell-block threading: the full *coupled* RHS (kinetic
-    // sweep on the worker pool + moment/field coupling) through `BlockRhs`
-    // at 1, 2, and 4 threads on the Fig. 1 configuration. Thread counts
+    // sweep on the worker pool + moment/field coupling) through the
+    // production `Driver` at 1, 2, and 4 threads on the Fig. 1
+    // configuration. Thread counts
     // above the host's core count still run (the pool oversubscribes), so
     // the numbers stay honest on small machines — the scaling gate only
     // arms when the host actually has >= 4 cores. ---
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let (mut sys, state) = AppBuilder::new()
-        .conf_grid(&[0.0], &[1.0], &[nx])
-        .poly_order(1)
-        .basis(BasisKind::Tensor)
-        .species(
-            SpeciesSpec::new("elc", -1.0, 1.0, &[-4.0, -4.0], &[4.0, 4.0], &[nv, nv])
-                .initial(|x, v| maxwellian(1.0 + 0.05 * (2.0 * x[0]).cos(), &[0.2, 0.0], 0.9, v)),
-        )
-        .field(FieldSpec::new(1.0))
-        .build()
-        .unwrap()
-        .into_parts();
-    let ncells = sys.grid.len();
-    let kinetic_dofs = (ncells * sys.kernels.np()) as f64;
-    let mut out = sys.new_state();
+    let build = |threads: usize| {
+        let (sys, state) = AppBuilder::new()
+            .conf_grid(&[0.0], &[1.0], &[nx])
+            .poly_order(1)
+            .basis(BasisKind::Tensor)
+            .species(
+                SpeciesSpec::new("elc", -1.0, 1.0, &[-4.0, -4.0], &[4.0, 4.0], &[nv, nv]).initial(
+                    |x, v| maxwellian(1.0 + 0.05 * (2.0 * x[0]).cos(), &[0.2, 0.0], 0.9, v),
+                ),
+            )
+            .field(FieldSpec::new(1.0))
+            .build()
+            .unwrap()
+            .into_parts();
+        (Driver::new(sys, 1, threads).unwrap(), state)
+    };
+    let (driver, state) = build(1);
+    let ncells = driver.system().grid.len();
+    let kinetic_dofs = (ncells * driver.system().kernels.np()) as f64;
+    let mut out = driver.system().new_state();
 
     println!("\n# Cell-block threaded full RHS (1x2v p1 tensor, {host_cores} host cores)");
     println!(
@@ -229,10 +235,10 @@ fn main() {
     let mut dofs_per_s = Vec::new();
     let mut speedups = Vec::new();
     for &t in &thread_counts {
-        let mut block = BlockRhs::new(&sys, 1, t);
+        let mut driver = build(t).0;
         let ns_cell = {
-            let (sys, state, out) = (&mut sys, &state, &mut out);
-            let mut body: Box<dyn FnMut()> = Box::new(|| block.rhs(sys, state, out));
+            let (state, out) = (&state, &mut out);
+            let mut body: Box<dyn FnMut()> = Box::new(|| driver.rhs(state, out));
             time_sweep(&mut body, ncells, min_ms)
         };
         black_box(out.species_f[0].max_abs());
@@ -259,12 +265,10 @@ fn main() {
     // (both ISSUE acceptance gates). The off/on windows are interleaved
     // and min-folded so slow clock/thermal drift cancels instead of
     // landing entirely on one side of the comparison. ---
-    let mut block_off = BlockRhs::new(&sys, 1, 1);
-    let mut block_on = BlockRhs::new(&sys, 1, 1);
-    let reg = Arc::new(Registry::new(1 + block_on.blocks().len()));
-    block_on.instrument(&reg);
-    let probe_on = reg.collector(0);
-    let probe_off = Collector::default();
+    let mut driver_off = driver;
+    let mut driver_on = build(1).0;
+    let reg = Arc::new(Registry::new(driver_on.telemetry_slots()));
+    driver_on.instrument(&reg);
     let state_ref = &state;
     // Per-*evaluation* minima rather than window averages: one coupled
     // RHS eval is ~0.1 ms, so each window yields hundreds of samples and
@@ -272,15 +276,14 @@ fn main() {
     // floor. The spans execute deterministically in every eval, so their
     // true cost survives the min while ambient noise does not — window
     // averages cannot make that separation on a loaded host.
-    let one_window = |block: &mut BlockRhs, sys: &mut VlasovMaxwell, out: &mut SystemState| {
-        let (b, sys, out) = (&mut *block, &mut *sys, &mut *out);
+    let one_window = |driver: &mut Driver, out: &mut SystemState| {
         let t0 = Instant::now();
         let window_ms = (min_ms / 3).max(30);
         let mut best = f64::INFINITY;
         let mut iters = 0usize;
         while iters < 10 || t0.elapsed().as_millis() < window_ms {
             let t = Instant::now();
-            b.rhs(sys, state_ref, out);
+            driver.rhs(state_ref, out);
             best = best.min(t.elapsed().as_nanos() as f64);
             iters += 1;
         }
@@ -288,13 +291,11 @@ fn main() {
     };
     let (mut t_off, mut t_on) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..12 {
-        sys.instrument(&probe_off);
-        t_off = t_off.min(one_window(&mut block_off, &mut sys, &mut out));
-        sys.instrument(&probe_on);
-        t_on = t_on.min(one_window(&mut block_on, &mut sys, &mut out));
+        t_off = t_off.min(one_window(&mut driver_off, &mut out));
+        t_on = t_on.min(one_window(&mut driver_on, &mut out));
     }
     let overhead = t_on / t_off - 1.0;
-    let mut block = block_on;
+    let mut driver = driver_on;
 
     // One extra timed window with collection on: the counters must
     // reproduce the analytic sweep size exactly, making the two DOF/s
@@ -303,7 +304,7 @@ fn main() {
     let t0 = Instant::now();
     let mut iters = 0u64;
     while iters < 10 || t0.elapsed().as_millis() < min_ms {
-        block.rhs(&mut sys, &state, &mut out);
+        driver.rhs(&state, &mut out);
         iters += 1;
     }
     let wall_s = t0.elapsed().as_secs_f64();

@@ -101,7 +101,7 @@ fn main() {
 
     let (ks, sw) = sweep(jobs, nx, nv, t_end);
 
-    // Serial baseline: a bare loop, no queue, no lifecycle, just the same
+    // Single-loop baseline: a bare loop, no queue, no lifecycle, just the same
     // sampling work the ensemble's series observer performs.
     let t0 = Instant::now();
     let mut baseline = Vec::with_capacity(jobs);

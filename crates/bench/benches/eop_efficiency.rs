@@ -6,16 +6,17 @@
 //! competitive with the heavily optimized 3D Navier–Stokes solver of Fehn
 //! et al. even though the kinetic operator is five-dimensional. It also
 //! notes (footnote 7) that adding the Fokker–Planck (LBO) collision
-//! operator roughly doubles the cost. Both numbers are regenerated here.
+//! operator roughly doubles the cost. Both numbers are regenerated here,
+//! timed through the production `Driver`'s coupled RHS (kinetic block
+//! sweep plus field coupling) — the same code path `App` steps with.
 
 use dg_basis::BasisKind;
 use dg_bench::env_usize;
 use dg_bench::report::{bench_json_path, merge_section, JsonObj};
 use dg_core::app::{AppBuilder, FieldSpec, SpeciesSpec};
+use dg_core::blocks::Driver;
 use dg_core::lbo::LboOp;
 use dg_core::species::maxwellian;
-use dg_core::vlasov::VlasovWorkspace;
-use dg_grid::DgField;
 use dg_telemetry::{Counter, Registry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,27 +47,24 @@ fn main() {
         .build()
         .unwrap();
 
-    let sys = app.system();
+    let (sys, state) = app.into_parts();
     let np = sys.kernels.np();
     let ncells = sys.grid.len();
     let dofs = (np * ncells) as f64;
-    let state = app.state();
-    let mut out = DgField::zeros(ncells, np);
-    let mut ws = VlasovWorkspace::for_kernels(&sys.kernels);
+    let mut driver = Driver::new(sys, 1, 1).expect("one rank, one thread");
+    let mut out = driver.system().new_state();
     // Collect phase counters during the timed loops so the Eop the
     // telemetry implies can be cross-checked against the wall-clock one.
-    let reg = Arc::new(Registry::new(1));
-    ws.probe = reg.collector(0);
+    let reg = Arc::new(Registry::new(driver.telemetry_slots()));
+    driver.instrument(&reg);
 
-    // Collisionless operator.
-    sys.vlasov
-        .accumulate_rhs(-1.0, &state.species_f[0], &state.em, &mut out, &mut ws);
+    // Collisionless coupled RHS.
+    driver.rhs(&state, &mut out);
     let reps = 3;
     let snap0 = reg.snapshot();
     let t0 = Instant::now();
     for _ in 0..reps {
-        sys.vlasov
-            .accumulate_rhs(-1.0, &state.species_f[0], &state.em, &mut out, &mut ws);
+        driver.rhs(&state, &mut out);
     }
     let t_total = t0.elapsed().as_secs_f64();
     let t_vlasov = t_total / reps as f64;
@@ -89,17 +87,19 @@ fn main() {
         "telemetry Eop {eop_tel:.3e} disagrees with wall-clock Eop {eop:.3e}"
     );
 
-    // With LBO collisions (instrumented too, so the per-phase table
-    // below covers drag/diffusion alongside the Vlasov phases).
-    let mut lbo = LboOp::new(Arc::clone(&sys.kernels), sys.grid.clone(), 0.5);
-    lbo.instrument_scratch(&ws.probe);
-    lbo.accumulate_rhs(&state.species_f[0], &mut out);
+    // With LBO collisions (the driver instruments its per-block LBO
+    // scratch too, so the per-phase table below covers drag/diffusion
+    // alongside the Vlasov phases).
+    let lbo = {
+        let sys = driver.system();
+        LboOp::new(Arc::clone(&sys.kernels), sys.grid.clone(), 0.5)
+    };
+    driver.system_mut().set_collisions(vec![Some(lbo)]);
+    driver.rhs(&state, &mut out);
     let snap2 = reg.snapshot();
     let t0 = Instant::now();
     for _ in 0..reps {
-        sys.vlasov
-            .accumulate_rhs(-1.0, &state.species_f[0], &state.em, &mut out, &mut ws);
-        lbo.accumulate_rhs(&state.species_f[0], &mut out);
+        driver.rhs(&state, &mut out);
     }
     let t_with_lbo = t0.elapsed().as_secs_f64() / reps as f64;
     let eop_lbo = dofs / t_with_lbo;
@@ -135,7 +135,7 @@ fn main() {
         steps: 0,
         last_dt: 0.0,
         dt_trace: Vec::new(),
-        nslots: 1,
+        nslots: driver.telemetry_slots(),
         snapshot: timed,
     };
     println!();

@@ -22,7 +22,7 @@
 //! assert!(dt > 0.0 && app.time() > 0.0);
 //! ```
 
-use crate::backend::{Backend, BackendFactory, Serial};
+use crate::blocks::Driver;
 use crate::error::Error;
 use crate::lbo::LboOp;
 use crate::observer::{Frame, Observer, Trigger};
@@ -184,9 +184,8 @@ pub struct AppBuilder {
     species: Vec<SpeciesSpec>,
     field: Option<FieldSpec>,
     init_quad_npts: Option<usize>,
-    backend: Box<dyn BackendFactory>,
-    backend_overridden: bool,
-    threads: Option<usize>,
+    ranks: usize,
+    threads: usize,
     telemetry: Option<bool>,
 }
 
@@ -209,9 +208,8 @@ impl AppBuilder {
             species: Vec::new(),
             field: None,
             init_quad_npts: None,
-            backend: Box::new(Serial::default()),
-            backend_overridden: false,
-            threads: None,
+            ranks: 1,
+            threads: 1,
             telemetry: None,
         }
     }
@@ -281,28 +279,26 @@ impl AppBuilder {
         self
     }
 
-    /// Execution backend (default [`Serial`]). `dg-parallel` exports
-    /// `RankParallel { ranks, threads }` for the two-level decomposition;
-    /// the same declaration runs unchanged — and bit-identically — on
-    /// either.
-    pub fn backend(mut self, factory: impl BackendFactory + 'static) -> Self {
-        self.backend = Box::new(factory);
-        self.backend_overridden = true;
+    /// Simulated MPI ranks: configuration-space slabs along dim 0, the
+    /// outer layer of the paper's two-level decomposition (default 1).
+    /// Trajectories are bit-identical for every rank count; `0` is a
+    /// build error.
+    pub fn ranks(mut self, n: usize) -> Self {
+        self.ranks = n;
         self
     }
 
-    /// Intra-process worker threads for the default [`Serial`] backend's
-    /// cell-block parallel RHS sweep (default 1; trajectories are
-    /// bit-identical for every thread count). `0` is a build error, as is
-    /// combining this with an explicit [`AppBuilder::backend`] — parallel
-    /// factories carry their own thread knob (`RankParallel { threads }`).
+    /// Worker threads sweeping the cell blocks, each rank's slab split
+    /// once per thread (default 1: no pool, the blocks run on the calling
+    /// thread). Trajectories are bit-identical for every thread count;
+    /// `0` is a build error.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
+        self.threads = n;
         self
     }
 
     /// Enable (or force off) phase telemetry: per-phase timers and work
-    /// counters across the backend, surfaced through
+    /// counters across the driver, surfaced through
     /// [`App::telemetry_report`], observer frames, and blow-up
     /// breadcrumbs. Defaults to the `DG_TELEMETRY` environment variable
     /// (`1` enables). Telemetry is observational: trajectories are
@@ -467,26 +463,11 @@ impl AppBuilder {
             poisson_init_1d(&mut system, &mut em)?;
         }
         let state = system.initial_state(em);
-        if let Some(n) = self.threads {
-            if self.backend_overridden {
-                return Err(Error::Build(
-                    "AppBuilder::threads applies to the default Serial backend; an explicit \
-                     backend carries its own thread knob (e.g. RankParallel { threads })"
-                        .into(),
-                ));
-            }
-            if n == 0 {
-                return Err(Error::Build(
-                    "AppBuilder::threads needs n ≥ 1, got 0".into(),
-                ));
-            }
-            self.backend = Box::new(Serial { threads: n });
-        }
-        let mut backend = self.backend.make(system)?;
+        let mut driver = Driver::new(system, self.ranks, self.threads)?;
         let telemetry_on = self.telemetry.unwrap_or_else(env_telemetry);
         let (probe, telemetry) = if telemetry_on {
-            let reg = Arc::new(Registry::new(backend.telemetry_slots()));
-            backend.instrument(&reg);
+            let reg = Arc::new(Registry::new(driver.telemetry_slots()));
+            driver.instrument(&reg);
             let probe = reg.collector(0);
             (
                 probe,
@@ -500,7 +481,7 @@ impl AppBuilder {
             (Collector::default(), None)
         };
         Ok(App {
-            backend,
+            driver,
             state,
             time: 0.0,
             steps_taken: 0,
@@ -632,7 +613,7 @@ enum Sched {
 }
 
 /// Run-long telemetry carried by an instrumented [`App`]: the registry
-/// the backend writes into, the recent-dt trace, and accumulated
+/// the driver writes into, the recent-dt trace, and accumulated
 /// stepping wall time.
 struct TelemetryState {
     reg: Arc<Registry>,
@@ -640,12 +621,12 @@ struct TelemetryState {
     wall_ns: u64,
 }
 
-/// A runnable simulation: a declaration bound to an execution
-/// [`Backend`]. Diagnostics reach the system and state through the
+/// A runnable simulation: a declaration bound to its execution
+/// [`Driver`]. Diagnostics reach the system and state through the
 /// accessors; stepping goes through [`App::step`], [`App::advance_by`],
 /// or the observer-scheduled [`App::run`] driver.
 pub struct App {
-    backend: Box<dyn Backend>,
+    driver: Driver,
     state: SystemState,
     time: f64,
     steps_taken: usize,
@@ -669,14 +650,14 @@ impl App {
     }
 
     /// The underlying system (operators, species, grids) — diagnostics
-    /// access, backend-agnostic.
+    /// access, independent of the decomposition.
     pub fn system(&self) -> &VlasovMaxwell {
-        self.backend.system()
+        self.driver.system()
     }
 
     /// Mutable system access (dispatch forcing, collision swaps).
     pub fn system_mut(&mut self) -> &mut VlasovMaxwell {
-        self.backend.system_mut()
+        self.driver.system_mut()
     }
 
     /// The current dynamical state.
@@ -689,15 +670,10 @@ impl App {
         &mut self.state
     }
 
-    /// The executing backend's tag ("serial", "rank-parallel").
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Dissolve the App into its system and state (hand-wired drivers,
     /// nodal twins, the scaling harness).
     pub fn into_parts(self) -> (VlasovMaxwell, SystemState) {
-        (self.backend.into_system(), self.state)
+        (self.driver.into_system(), self.state)
     }
 
     /// Restore a checkpointed `(state, time)` pair — the restart path.
@@ -745,7 +721,7 @@ impl App {
         let _span = self.probe.span(Phase::StepControl);
         match self.fixed_dt {
             Some(dt) => dt,
-            None => self.backend.suggest_dt(&self.state, self.cfl),
+            None => self.driver.suggest_dt(&self.state, self.cfl),
         }
     }
 
@@ -768,7 +744,7 @@ impl App {
         } else {
             0
         };
-        self.backend.step(&mut self.state, dt);
+        self.driver.step(&mut self.state, dt);
         if let Some(tel) = self.telemetry.as_mut() {
             tel.wall_ns += now_ns().saturating_sub(t0);
         }
@@ -776,7 +752,7 @@ impl App {
         self.steps_taken += 1;
         for (s, f) in self.state.species_f.iter().enumerate() {
             if !f.max_abs().is_finite() {
-                let name = self.backend.system().species[s].name.clone();
+                let name = self.driver.system().species[s].name.clone();
                 return Err(self.blow_up(Some(name), step_index));
             }
         }
@@ -869,7 +845,7 @@ impl App {
         for (obs, sched) in observers.iter_mut().zip(&scheds) {
             if !matches!(sched, Sched::End) {
                 fire(
-                    self.backend.system(),
+                    self.driver.system(),
                     &self.state,
                     self.time,
                     self.steps_taken,
@@ -911,7 +887,7 @@ impl App {
                 };
                 if due {
                     fire(
-                        self.backend.system(),
+                        self.driver.system(),
                         &self.state,
                         self.time,
                         self.steps_taken,
@@ -928,7 +904,7 @@ impl App {
         for (obs, sched) in observers.iter_mut().zip(&scheds) {
             if matches!(sched, Sched::End) {
                 fire(
-                    self.backend.system(),
+                    self.driver.system(),
                     &self.state,
                     self.time,
                     self.steps_taken,
@@ -947,7 +923,7 @@ impl App {
         self.telemetry.is_some()
     }
 
-    /// Merged phase/counter snapshot across every backend slot, or
+    /// Merged phase/counter snapshot across every driver slot, or
     /// `None` when telemetry is off.
     pub fn telemetry_snapshot(&self) -> Option<Snapshot> {
         self.telemetry.as_ref().map(|tel| tel.reg.snapshot())
@@ -979,12 +955,12 @@ impl App {
 
     /// Conserved-quantity probe at the current time.
     pub fn conserved(&self) -> crate::diagnostics::ConservedQuantities {
-        crate::diagnostics::probe(self.backend.system(), &self.state, self.time)
+        crate::diagnostics::probe(self.driver.system(), &self.state, self.time)
     }
 
     /// EM field energy (convenience).
     pub fn field_energy(&self) -> f64 {
-        self.backend.system().field_energy(&self.state)
+        self.driver.system().field_energy(&self.state)
     }
 }
 

@@ -121,7 +121,7 @@ pub struct LboScratch {
     vidx: Vec<usize>,
     mom: MomentScratch,
     /// Telemetry writer for this scratch's thread (noop unless the
-    /// backend instruments the run).
+    /// driver instruments the run).
     pub probe: Collector,
 }
 
@@ -158,7 +158,7 @@ impl LboScratch {
     }
 
     /// Point this scratch's telemetry (including its embedded moment
-    /// scratch) at `collector` — called once by backend instrumentation.
+    /// scratch) at `collector` — called once by driver instrumentation.
     // dg-analyze: allow(hot_alloc) — collector handoff is cold (once per run); clones bump an Arc refcount
     pub fn instrument(&mut self, collector: &Collector) {
         self.probe = collector.clone();
@@ -317,8 +317,8 @@ impl LboOp {
     }
 
     /// Point the persistent serial scratch's telemetry at `collector` —
-    /// called once by backend instrumentation (parallel backends
-    /// instrument their per-block scratches instead).
+    /// called once by driver instrumentation (the driver's block sweep
+    /// instruments its own per-block scratches).
     pub fn instrument_scratch(&mut self, collector: &Collector) {
         if let Some(ws) = self.scratch.as_mut() {
             ws.instrument(collector);

@@ -18,16 +18,15 @@
 //! * [`app`] — a builder-style front end mirroring Gkeyll's App system
 //!   (Fig. 4): declare a domain, species with initial conditions, and field
 //!   parameters; get a runnable simulation;
-//! * [`blocks`] — intra-rank shared-memory parallelism: the RHS sweep
-//!   split into contiguous dim-0 cell blocks on a persistent worker pool,
-//!   bit-identical to serial for any thread count;
-//! * [`backend`] / [`observer`] / [`error`] — the run-driver layer: one
-//!   App API over serial and rank-parallel execution, trigger-scheduled
-//!   observers replacing hand-rolled sampling loops, and the typed error
-//!   taxonomy of every fallible public operation.
+//! * [`blocks`] — the execution driver: the RHS sweep split into
+//!   contiguous dim-0 cell blocks (`ranks` slabs × `threads` pieces, on a
+//!   persistent worker pool when `threads > 1`), stepped by the one
+//!   SSP-RK3 function, bit-identical for every rank and thread count;
+//! * [`observer`] / [`error`] — the run-driver layer around it:
+//!   trigger-scheduled observers replacing hand-rolled sampling loops, and
+//!   the typed error taxonomy of every fallible public operation.
 
 pub mod app;
-pub mod backend;
 pub mod blocks;
 pub mod cfl;
 pub mod diagnostics;
@@ -40,7 +39,7 @@ pub mod ssprk;
 pub mod system;
 pub mod vlasov;
 
-pub use backend::{Backend, BackendFactory, Serial};
+pub use blocks::Driver;
 pub use error::Error;
 pub use observer::{observe, Frame, Observer, Trigger};
 pub use species::Species;

@@ -25,7 +25,7 @@ pub struct MomentScratch {
     vc: Vec<f64>,
     path: ResolvedMoments,
     /// Telemetry writer for this scratch's thread (noop unless the
-    /// backend instruments the run).
+    /// driver instruments the run).
     pub probe: Collector,
 }
 
@@ -67,9 +67,8 @@ impl MomentScratch {
 /// Accumulate the charge-weighted current (3 components × Nc per
 /// configuration cell) and optionally charge density of one distribution
 /// function into `j_out` / `rho_out`, for configuration cells in
-/// `conf_range`. Generic over the output store so rank-local views (the
-/// parallel driver's `split_cells_mut` slices) work as well as whole
-/// fields.
+/// `conf_range`. Generic over the output store so disjoint cell views
+/// ([`dg_grid::DgFieldSlice`]) work as well as whole fields.
 #[allow(clippy::too_many_arguments)]
 pub fn accumulate_current<S: CellStoreMut>(
     kernels: &PhaseKernels,

@@ -7,81 +7,47 @@
 //! uⁿ⁺¹ = ⅓u + ⅔(u⁽²⁾ + Δt L(u⁽²⁾))
 //! ```
 
-use crate::system::{SystemState, VlasovMaxwell};
-use crate::vlasov::VlasovWorkspace;
+use crate::system::SystemState;
 
 /// Effective quadrature weights of the three SSP-RK3 stage RHS
 /// evaluations: `uⁿ⁺¹ = uⁿ + Δt (⅙ L(u) + ⅙ L(u⁽¹⁾) + ⅔ L(u⁽²⁾))`. The
-/// steppers fold per-stage wall-flux rates into the time-integrated wall
+/// driver folds per-stage wall-flux rates into the time-integrated wall
 /// ledger with exactly these weights, so the ledger matches the state's
 /// actual mass change to round-off.
 pub const STAGE_WEIGHTS: [f64; 3] = [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0];
 
-/// One SSP-RK3 step with a caller-supplied RHS evaluator — shared by the
-/// modal solver, the nodal baseline (`dg-nodal`) and the parallel driver
-/// (`dg-parallel`), so every Table-I/Fig.-3 contender uses the identical
-/// time integration.
-pub fn ssp_rk3_generic(
+/// One SSP-RK3 step with a caller-supplied RHS evaluator — the one time
+/// integrator of the code: the modal driver ([`crate::blocks::Driver`])
+/// and the nodal baseline (`dg-nodal`) both step through it, so every
+/// Table-I/Fig.-3 contender uses the identical time integration. Three RHS
+/// evaluations per step — the "three trillion multiplications"
+/// bookkeeping of Table I counts these stages explicitly.
+pub fn ssp_rk3(
     state: &mut SystemState,
     stage: &mut SystemState,
     rhs_buf: &mut SystemState,
     dt: f64,
     mut rhs: impl FnMut(&SystemState, &mut SystemState),
 ) {
+    // Stage 1: stage = u + dt L(u)
     rhs(&*state, rhs_buf);
     stage.copy_from(state);
     stage.axpy(dt, rhs_buf);
+    // Stage 2: stage = ¾ u + ¼ (stage + dt L(stage))
     rhs(&*stage, rhs_buf);
     stage.axpy(dt, rhs_buf);
     stage.lincomb(0.25, 0.75, state);
+    // Stage 3: u = ⅓ u + ⅔ (stage + dt L(stage))
     rhs(&*stage, rhs_buf);
     stage.axpy(dt, rhs_buf);
     state.lincomb(1.0 / 3.0, 2.0 / 3.0, stage);
 }
 
-/// Reusable stage buffers for the stepper.
-pub struct SspRk3 {
-    stage: SystemState,
-    rhs: SystemState,
-    pub ws: VlasovWorkspace,
-}
-
-impl SspRk3 {
-    pub fn new(system: &VlasovMaxwell) -> Self {
-        SspRk3 {
-            stage: system.new_state(),
-            rhs: system.new_state(),
-            ws: VlasovWorkspace::for_kernels(&system.kernels),
-        }
-    }
-
-    /// Advance `state` by `dt` in place. Three RHS evaluations — the
-    /// "three trillion multiplications" bookkeeping of Table I counts these
-    /// stages explicitly.
-    pub fn step(&mut self, system: &mut VlasovMaxwell, state: &mut SystemState, dt: f64) {
-        // Stage 1: stage = u + dt L(u)
-        system.rhs(state, &mut self.rhs, &mut self.ws);
-        system.integrate_wall_ledger(STAGE_WEIGHTS[0] * dt);
-        self.stage.copy_from(state);
-        self.stage.axpy(dt, &self.rhs);
-        // Stage 2: stage = ¾ u + ¼ (stage + dt L(stage))
-        system.rhs(&self.stage, &mut self.rhs, &mut self.ws);
-        system.integrate_wall_ledger(STAGE_WEIGHTS[1] * dt);
-        self.stage.axpy(dt, &self.rhs);
-        self.stage.lincomb(0.25, 0.75, state);
-        // Stage 3: u = ⅓ u + ⅔ (stage + dt L(stage))
-        system.rhs(&self.stage, &mut self.rhs, &mut self.ws);
-        system.integrate_wall_ledger(STAGE_WEIGHTS[2] * dt);
-        self.stage.axpy(dt, &self.rhs);
-        state.lincomb(1.0 / 3.0, 2.0 / 3.0, &self.stage);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::blocks::Driver;
     use crate::species::{maxwellian, Species};
-    use crate::system::FluxKind;
+    use crate::system::{FluxKind, SystemState, VlasovMaxwell};
     use dg_basis::BasisKind;
     use dg_grid::{Bc, CartGrid, PhaseGrid};
     use dg_kernels::{kernels_for, PhaseLayout};
@@ -117,13 +83,13 @@ mod tests {
 
     #[test]
     fn step_preserves_mass_exactly() {
-        let (mut sys, mut state) = tiny_system();
+        let (sys, mut state) = tiny_system();
         let n0 = sys.particle_numbers(&state)[0];
-        let mut rk = SspRk3::new(&sys);
+        let mut driver = Driver::new(sys, 1, 1).unwrap();
         for _ in 0..10 {
-            rk.step(&mut sys, &mut state, 1e-3);
+            driver.step(&mut state, 1e-3);
         }
-        let n1 = sys.particle_numbers(&state)[0];
+        let n1 = driver.system().particle_numbers(&state)[0];
         assert!(
             ((n1 - n0) / n0).abs() < 1e-13,
             "mass drift {} over 10 steps",
@@ -135,20 +101,20 @@ mod tests {
     fn third_order_in_time() {
         // Compare one big step against two half steps on a smooth problem;
         // the difference should shrink by ~2³ when dt halves.
-        let (mut sys, state0) = tiny_system();
+        let (_, state0) = tiny_system();
         let dt = 2e-3;
 
-        let run = |sys: &mut VlasovMaxwell, n: usize, dt: f64| {
+        let run = |n: usize, dt: f64| {
             let mut s = state0.clone();
-            let mut rk = SspRk3::new(sys);
+            let mut driver = Driver::new(tiny_system().0, 1, 1).unwrap();
             for _ in 0..n {
-                rk.step(sys, &mut s, dt);
+                driver.step(&mut s, dt);
             }
             s
         };
-        let a = run(&mut sys, 1, dt);
-        let b = run(&mut sys, 2, dt / 2.0);
-        let c = run(&mut sys, 4, dt / 4.0);
+        let a = run(1, dt);
+        let b = run(2, dt / 2.0);
+        let c = run(4, dt / 4.0);
         let diff = |x: &SystemState, y: &SystemState| -> f64 {
             x.species_f[0]
                 .as_slice()

@@ -1,20 +1,21 @@
 //! The coupled Vlasov–Maxwell system.
 //!
 //! One [`VlasovMaxwell`] owns the phase-space discretization, the Maxwell
-//! solver, and the species set, and evaluates the full coupled RHS: the
-//! kinetic update for each species, the field update, and the current
-//! (plus, with cleaning, charge) coupling — the complete per-stage work of
-//! the paper's Table I measurement.
+//! solver, and the species set. It evaluates the field half of the coupled
+//! RHS — the field update and the current (plus, with cleaning, charge)
+//! coupling — while [`crate::blocks::Driver`] sweeps the kinetic half; the
+//! two together are the complete per-stage work of the paper's Table I
+//! measurement.
 
 use crate::error::Error;
 use crate::lbo::LboOp;
 use crate::moments::{accumulate_current, MomentScratch};
 use crate::species::Species;
-use crate::vlasov::{VlasovOp, VlasovWorkspace, WallAccum};
+use crate::vlasov::{VlasovOp, WallAccum};
 use dg_grid::{Bc, DgField, DimBc, PhaseGrid};
 use dg_kernels::{KernelDispatch, PhaseKernels};
 use dg_maxwell::MaxwellDg;
-use dg_telemetry::{span, Collector, Counter, Phase};
+use dg_telemetry::{span, Collector, Phase};
 use std::sync::Arc;
 
 pub use crate::vlasov::FluxKind;
@@ -98,7 +99,7 @@ impl SystemState {
 }
 
 /// The coupled system (species parameters + operators; the dynamical data
-/// lives in [`SystemState`] values owned by the stepper/App).
+/// lives in [`SystemState`] values owned by the App).
 pub struct VlasovMaxwell {
     pub kernels: Arc<PhaseKernels>,
     pub grid: PhaseGrid,
@@ -120,7 +121,7 @@ pub struct VlasovMaxwell {
     /// Per-species wall-flux rates of the last RHS evaluation.
     wall_rates: Vec<WallChannels>,
     /// Per-species time-integrated wall-flux ledger (filled by the
-    /// steppers with the SSP-RK3 stage weights).
+    /// driver with the SSP-RK3 stage weights).
     wall_totals: Vec<WallChannels>,
     /// Phase-cell mode-0 → particle-count conversion (shared by the wall
     /// ledger and `particle_numbers` so the balance invariant cannot
@@ -135,7 +136,7 @@ pub struct VlasovMaxwell {
     /// allocates nothing.
     scratch_mom: MomentScratch,
     /// System-level telemetry writer (main thread, slot 0): RHS-eval
-    /// counts and the wall-ledger phase. Noop unless the backend
+    /// counts and the wall-ledger phase. Noop unless the driver
     /// instruments the run.
     pub probe: Collector,
 }
@@ -190,9 +191,8 @@ impl VlasovMaxwell {
 
     /// Point the system's main-thread telemetry (system probe, moment
     /// scratch, Maxwell operator, serial LBO scratches) at `collector` —
-    /// called once by backend instrumentation. Parallel backends
-    /// additionally instrument their per-block workspaces with their own
-    /// slots.
+    /// called once by the driver's instrumentation, which additionally
+    /// points its per-block workspaces at their own slots.
     pub fn instrument(&mut self, collector: &Collector) {
         self.probe = collector.clone();
         self.scratch_mom.probe = collector.clone();
@@ -308,19 +308,19 @@ impl VlasovMaxwell {
     /// With absorbing walls, a species' total mass change equals its
     /// ledger's [`WallAccum::net_mass`] to round-off.
     ///
-    /// Backend note: the *state* is bit-identical across backends
-    /// unconditionally; the ledger is additionally bit-identical for
-    /// dim-0 walls (each owned whole by one edge rank — every 1D
-    /// configuration qualifies, asserted in `tests/backend_equiv.rs`).
-    /// Walls of higher configuration directions are split across ranks,
-    /// so their ledger entries agree with serial to round-off rather than
-    /// to the bit.
+    /// Decomposition note: the *state* is bit-identical across every
+    /// (ranks, threads) pair unconditionally; the ledger is additionally
+    /// bit-identical for dim-0 walls (each owned whole by one edge block —
+    /// every 1D configuration qualifies, asserted in
+    /// `tests/backend_equiv.rs`). Walls of higher configuration directions
+    /// are split across blocks, so their ledger entries agree across
+    /// decompositions to round-off rather than to the bit.
     pub fn wall_totals(&self) -> &[WallChannels] {
         &self.wall_totals
     }
 
     /// Fold the last RHS evaluation's wall rates into the ledger with
-    /// weight `w` (the steppers call this once per RK stage with
+    /// weight `w` (the driver calls this once per RK stage with
     /// `stage weight × dt`).
     pub fn integrate_wall_ledger(&mut self, w: f64) {
         span!(self.probe, Phase::Ledger);
@@ -337,8 +337,8 @@ impl VlasovMaxwell {
     }
 
     /// Convert a sweep's raw wall accumulators into this species' physical
-    /// wall rates — the hook execution engines (`dg-parallel`) use after
-    /// reducing their per-rank partial sums.
+    /// wall rates — the hook the block driver uses after reducing its
+    /// per-block partial sums.
     pub fn record_wall_rates(&mut self, species: usize, accum: &WallAccum) {
         span!(self.probe, Phase::Ledger);
         let half_m = 0.5 * self.species[species].mass;
@@ -377,33 +377,10 @@ impl VlasovMaxwell {
         }
     }
 
-    /// Evaluate the full coupled RHS at `state` into `out` (zeroed here).
-    pub fn rhs(&mut self, state: &SystemState, out: &mut SystemState, ws: &mut VlasovWorkspace) {
-        self.probe.count(Counter::RhsEvals, 1);
-        out.fill(0.0);
-        // Kinetic updates (per-species BCs; the sweep fills the workspace
-        // wall ledger, harvested right after).
-        for s in 0..self.species.len() {
-            self.vlasov.accumulate_rhs_bc(
-                self.species[s].qm(),
-                &state.species_f[s],
-                &state.em,
-                &mut out.species_f[s],
-                ws,
-                &self.species_bc[s],
-            );
-            if let Some(lbo) = self.collisions[s].as_mut() {
-                lbo.accumulate_rhs(&state.species_f[s], &mut out.species_f[s]);
-            }
-            self.record_wall_rates(s, &ws.wall);
-        }
-        self.field_rhs(state, out);
-    }
-
-    /// The field half of [`VlasovMaxwell::rhs`]: Maxwell RHS plus the
-    /// moment-coupled current/charge sources. Split out so the parallel
-    /// drivers (cell-block threaded sweep, rank decomposition) can replace
-    /// the species sweep while reusing the field update unchanged.
+    /// The field half of the coupled RHS: Maxwell RHS plus the
+    /// moment-coupled current/charge sources, added to `out.em`. The
+    /// kinetic half is the block sweep of [`crate::blocks::Driver`]; the
+    /// nodal twin (`dg-nodal`) reuses this coupling unchanged.
     pub fn field_rhs(&mut self, state: &SystemState, out: &mut SystemState) {
         let nconf = self.grid.conf.len();
         if self.evolve_field {

@@ -29,7 +29,7 @@
 //! [`WallAccum`] ledger as a by-product.
 //!
 //! Each public method takes an explicit configuration-cell range so the
-//! shared-memory layer (`dg-parallel`) can partition work without ghost
+//! block driver (`crate::blocks`) can partition work without ghost
 //! layers — the paper's intra-node decomposition.
 
 // Stencil/loop style: index-coupled stencil sweeps index several arrays in lockstep;
@@ -161,11 +161,11 @@ pub struct VlasovWorkspace {
     panel_f2: Vec<CellLanes>,
     panel_out2: Vec<CellLanes>,
     /// Wall-flux ledger accumulators, filled by the configuration-surface
-    /// sweep; reset by [`VlasovOp::accumulate_rhs_bc`] (or manually when
-    /// driving the sweep methods directly, as `dg-parallel` does).
+    /// sweep; reset by [`VlasovOp::accumulate_rhs`] (or manually when
+    /// driving the sweep methods directly, as the block sweep does).
     pub wall: WallAccum,
     /// Telemetry writer for this workspace's thread (noop unless the
-    /// backend instruments the run; see `dg_telemetry`).
+    /// driver instruments the run; see `dg_telemetry`).
     pub probe: Collector,
 }
 
@@ -1178,7 +1178,11 @@ impl VlasovOp {
     }
 
     /// The full collisionless RHS, serial: `out += L(f; E, B)`, with the
-    /// grid's domain-default boundary conditions.
+    /// grid's domain-default boundary conditions. Resets and refills the
+    /// workspace's wall-flux ledger (`ws.wall`). This is the operator-level
+    /// reference the block sweep (`crate::blocks`) is checked against; the
+    /// runtime path is the driver's block sweep, which also honours
+    /// per-species boundary conditions.
     pub fn accumulate_rhs(
         &self,
         qm: f64,
@@ -1187,28 +1191,11 @@ impl VlasovOp {
         out: &mut DgField,
         ws: &mut VlasovWorkspace,
     ) {
-        self.accumulate_rhs_bc(qm, f, em, out, ws, &self.grid.conf_bc);
-    }
-
-    /// The full collisionless RHS with explicit per-dimension boundary
-    /// conditions (the per-species hook: species may override the wall
-    /// flavor on non-periodic axes). Resets and refills the workspace's
-    /// wall-flux ledger (`ws.wall`).
-    pub fn accumulate_rhs_bc(
-        &self,
-        qm: f64,
-        f: &DgField,
-        em: &DgField,
-        out: &mut DgField,
-        ws: &mut VlasovWorkspace,
-        bcs: &[DimBc],
-    ) {
-        debug_assert_eq!(bcs.len(), self.grid.cdim());
         let nconf = self.grid.conf.len();
         ws.wall.reset();
         self.volume(qm, f, em, out, ws, 0..nconf);
         for d in 0..self.grid.cdim() {
-            self.surface_config(d, f, out, ws, 0..nconf, bcs[d]);
+            self.surface_config(d, f, out, ws, 0..nconf, self.grid.conf_bc[d]);
         }
         self.surface_velocity(qm, f, em, out, ws, 0..nconf);
     }

@@ -10,9 +10,9 @@
 //! * cells are linearized row-major with dimension 0 slowest;
 //! * phase cells are **configuration-major**: `idx = conf_lin · Nv + vel_lin`,
 //!   so one configuration cell's whole velocity block is contiguous —
-//!   moments reduce over contiguous memory, and the velocity-space work
-//!   sharing of `dg-parallel` slices contiguous ranges (the paper's MPI-3
-//!   shared-memory layer without ghost layers in velocity space);
+//!   moments reduce over contiguous memory, and the cell-block driver of
+//!   `dg-core` slices contiguous ranges (the paper's MPI-3 shared-memory
+//!   layer without ghost layers in velocity space);
 //! * no ghost cells are allocated: neighbours resolve through
 //!   [`boundary::DimBc`]-aware index wrapping (periodic), and non-periodic
 //!   boundary faces synthesize their ghost *state* on the fly into solver

@@ -9,22 +9,19 @@
 //! must fail (ablation bench).
 
 use crate::nodal_vlasov::{NodalVlasov, NodalWorkspace};
-use dg_core::moments::{accumulate_current, MomentScratch};
-use dg_core::ssprk::ssp_rk3_generic;
+use dg_core::ssprk::ssp_rk3;
 use dg_core::system::{SystemState, VlasovMaxwell};
-use dg_grid::DgField;
 use std::sync::Arc;
 
 /// A Vlasov–Maxwell system whose kinetic update runs through the nodal
-/// (quadrature) pipeline. Reuses the modal system's Maxwell solver, moment
-/// reductions and species bookkeeping — those costs are common to both
-/// columns of Table I.
+/// (quadrature) pipeline. Reuses the modal system's field coupling
+/// ([`VlasovMaxwell::field_rhs`]: Maxwell solver, moment reductions,
+/// background charge) and species bookkeeping — those costs are common to
+/// both columns of Table I.
 pub struct NodalSystem {
     pub inner: VlasovMaxwell,
     pub nodal: NodalVlasov,
     ws: NodalWorkspace,
-    scratch_j: DgField,
-    scratch_rho: DgField,
 }
 
 impl NodalSystem {
@@ -36,21 +33,12 @@ impl NodalSystem {
             nq_per_dim,
         );
         let ws = nodal.workspace();
-        let nconf = inner.grid.conf.len();
-        let nc = inner.kernels.nc();
-        NodalSystem {
-            inner,
-            nodal,
-            ws,
-            scratch_j: DgField::zeros(nconf, 3 * nc),
-            scratch_rho: DgField::zeros(nconf, nc),
-        }
+        NodalSystem { inner, nodal, ws }
     }
 
     /// Full coupled RHS with the nodal kinetic evaluator.
     pub fn rhs(&mut self, state: &SystemState, out: &mut SystemState) {
         out.fill(0.0);
-        let nconf = self.inner.grid.conf.len();
         for (s, sp) in self.inner.species.iter().enumerate() {
             self.nodal.accumulate_rhs(
                 sp.qm(),
@@ -60,37 +48,7 @@ impl NodalSystem {
                 &mut self.ws,
             );
         }
-        if self.inner.evolve_field() {
-            self.inner.maxwell.rhs(&state.em, &mut out.em);
-            self.scratch_j.fill(0.0);
-            self.scratch_rho.fill(0.0);
-            let mut mws = MomentScratch::for_kernels(&self.inner.kernels);
-            for (s, sp) in self.inner.species.iter().enumerate() {
-                accumulate_current(
-                    &self.inner.kernels,
-                    &self.inner.grid,
-                    sp.charge,
-                    &state.species_f[s],
-                    &mut self.scratch_j,
-                    if self.inner.track_charge() {
-                        Some(&mut self.scratch_rho)
-                    } else {
-                        None
-                    },
-                    0..nconf,
-                    &mut mws,
-                );
-            }
-            self.inner.maxwell.add_sources(
-                &self.scratch_j,
-                if self.inner.track_charge() {
-                    Some(&self.scratch_rho)
-                } else {
-                    None
-                },
-                &mut out.em,
-            );
-        }
+        self.inner.field_rhs(state, out);
     }
 
     /// One SSP-RK3 step (same integrator as the modal path).
@@ -101,13 +59,7 @@ impl NodalSystem {
         rhs_buf: &mut SystemState,
         dt: f64,
     ) {
-        // Borrow gymnastics: split `self` so the closure can call `rhs`.
-        let this: *mut NodalSystem = self;
-        ssp_rk3_generic(state, stage, rhs_buf, dt, |s, o| {
-            // SAFETY: `ssp_rk3_generic` only invokes the closure serially
-            // and `s`/`o` never alias `self`'s internals.
-            unsafe { (*this).rhs(s, o) }
-        });
+        ssp_rk3(state, stage, rhs_buf, dt, |s, o| self.rhs(s, o));
     }
 }
 

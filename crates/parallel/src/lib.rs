@@ -1,4 +1,4 @@
-//! # dg-parallel — the two-level shared-memory decomposition
+//! # dg-parallel — the Fig. 3 scaling harness
 //!
 //! The paper's §IV parallelization has two layers:
 //!
@@ -10,24 +10,19 @@
 //!    memory** — no ghost layers and no all-reduce of moments within a
 //!    node, which the paper credits with 2–3× memory savings.
 //!
-//! This crate reproduces that structure with threads on one machine:
-//! "ranks" are disjoint configuration-cell slabs executed on a persistent
-//! worker pool (rayon, per the HPC-parallel domain guide); the slab faces
-//! play the role of halo exchange, and their data volume is accounted
-//! explicitly so the Fig. 3 harness can report communication/computation
-//! ratios. Because each rank writes only its own contiguous slice of the
-//! output field ([`dg_grid::DgFieldSlice`]), the decomposition is
-//! **bit-identical to the serial sweep** — asserted in tests — and data
-//! races are excluded by construction, not by locks.
+//! Both layers live in one place: `dg_core::blocks::Driver` cuts
+//! configuration space into `ranks` dim-0 slabs, each split once per
+//! worker thread, and sweeps the blocks on a persistent pool. Slab faces
+//! play the role of halo exchange, and because each block writes only its
+//! own cells, every (ranks, threads) pair is **bit-identical** to every
+//! other. This crate is the harness that times that driver over the
+//! paper's problem family and accounts the halo data volume a genuinely
+//! distributed run would exchange ([`scaling::halo_bytes`]), so Fig. 3's
+//! communication/computation ratios can be reported.
 //!
 //! Substitution note (DESIGN.md): the container exposes a single CPU, so
 //! wall-clock *speedups* cannot manifest here; the harness measures and
 //! prints the same per-rank series the paper plots, and produces genuine
 //! scaling curves when run on a multicore host.
 
-pub mod decomp;
-pub mod par_system;
 pub mod scaling;
-
-pub use decomp::RankDecomp;
-pub use par_system::{ParVlasovMaxwell, RankParallel, RankParallelBackend};

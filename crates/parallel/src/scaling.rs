@@ -9,8 +9,8 @@
 //! host the same harness produces genuine scaling curves; on this 1-CPU
 //! container the efficiency column documents the substitution (DESIGN.md).
 
-use crate::par_system::ParVlasovMaxwell;
 use dg_basis::BasisKind;
+use dg_core::blocks::Driver;
 use dg_core::species::{maxwellian, Species};
 use dg_core::system::{FluxKind, VlasovMaxwell};
 use dg_grid::{Bc, CartGrid, PhaseGrid};
@@ -29,6 +29,15 @@ pub struct ScalingPoint {
     pub seconds_per_step: f64,
     /// Simulated one-layer halo volume per rank per exchange (bytes).
     pub halo_bytes: usize,
+}
+
+/// Bytes of distribution-function halo data that one rank would send per
+/// direction-0 exchange in a genuinely distributed setting: one layer of
+/// configuration cells (every cell of a dim-0 slice) × the velocity grid ×
+/// `np` coefficients × 8 bytes, both faces.
+pub fn halo_bytes(grid: &PhaseGrid, np: usize) -> usize {
+    let stride0 = grid.conf.len() / grid.conf.cells()[0];
+    2 * stride0 * grid.vel.len() * np * 8
 }
 
 /// Build the Fig. 3 problem family: two-species (electron/proton)
@@ -79,19 +88,16 @@ pub fn measure(
     let conf_cells = system.grid.conf.cells().to_vec();
     let vel_cells = system.grid.vel.cells().to_vec();
     let phase_cells = system.grid.len();
-    let np = system.kernels.np();
-    let mut par = ParVlasovMaxwell::new(system, ranks, threads);
-    let mut state = par.system.initial_state(par.system.maxwell.new_field());
-    let mut stage = par.system.new_state();
-    let mut rhs = par.system.new_state();
+    let halo_bytes = halo_bytes(&system.grid, system.kernels.np());
+    let mut state = system.initial_state(system.maxwell.new_field());
+    let mut driver = Driver::new(system, ranks, threads).expect("ranks and threads ≥ 1");
     // Warm-up step (kernel cache, allocator, pool).
-    par.step(&mut state, &mut stage, &mut rhs, dt);
+    driver.step(&mut state, dt);
     let t0 = Instant::now();
     for _ in 0..steps {
-        par.step(&mut state, &mut stage, &mut rhs, dt);
+        driver.step(&mut state, dt);
     }
     let seconds_per_step = t0.elapsed().as_secs_f64() / steps as f64;
-    let halo_bytes = par.decomp.halo_bytes(np);
     ScalingPoint {
         ranks,
         conf_cells,
@@ -151,6 +157,17 @@ mod tests {
         assert!(p.seconds_per_step > 0.0 && p.seconds_per_step.is_finite());
         assert_eq!(p.phase_cells, 32);
         assert!(p.halo_bytes > 0);
+    }
+
+    #[test]
+    fn halo_volume_counts_one_ghost_layer() {
+        let grid = PhaseGrid::new(
+            CartGrid::new(&[0.0, 0.0], &[1.0, 1.0], &[8, 3]),
+            CartGrid::new(&[-1.0, -1.0], &[1.0, 1.0], &[4, 2]),
+            vec![Bc::Periodic, Bc::Periodic],
+        );
+        // stride0 = 3 conf cells, nv = 8, Np = 5 → 2·3·8·5·8 bytes.
+        assert_eq!(halo_bytes(&grid, 5), 2 * 3 * 8 * 5 * 8);
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn main() -> Result<(), Error> {
         .build()?;
 
     let q0 = app.conserved();
-    println!("t = 0  [backend: {}]", app.backend_name());
+    println!("t = 0");
     println!("  particles      : {:.12}", q0.numbers[0]);
     println!("  kinetic energy : {:.12}", q0.particle_energy);
     println!("  field energy   : {:.6e}", q0.field_energy);

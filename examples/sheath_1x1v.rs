@@ -13,8 +13,8 @@
 //! Everything the walls drain is accounted: the [`WallFluxLedger`]
 //! balances each species' missing particles against the time-integrated
 //! wall flux to round-off (asserted below at every size), and with
-//! `SHEATH_RANKS ≥ 2` the identical declaration runs through the
-//! rank-parallel backend and must reproduce the serial state bit for bit.
+//! `SHEATH_RANKS ≥ 2` the identical declaration runs rank-decomposed and
+//! must reproduce the one-rank, one-thread state bit for bit.
 //!
 //! ```text
 //! cargo run --release --example sheath_1x1v
@@ -34,7 +34,7 @@ const MASS_RATIO: f64 = 25.0;
 
 fn build(nx: usize, nv: usize, length: f64, ranks: usize, threads: usize) -> Result<App, Error> {
     let vth_i = (1.0 / MASS_RATIO).sqrt();
-    let mut b = AppBuilder::new()
+    AppBuilder::new()
         .conf_grid(&[0.0], &[length], &[nx])
         .poly_order(2)
         .basis(BasisKind::Serendipity)
@@ -52,13 +52,10 @@ fn build(nx: usize, nv: usize, length: f64, ranks: usize, threads: usize) -> Res
         )
         // Electrostatic limit: fast light speed, electric divergence
         // cleaning keeps Gauss's law coupled to the evolving charge.
-        .field(FieldSpec::new(5.0).cleaning(1.0, 0.0));
-    if ranks >= 2 {
-        b = b.backend(RankParallel { ranks, threads });
-    } else if threads > 1 {
-        b = b.threads(threads);
-    }
-    b.build()
+        .field(FieldSpec::new(5.0).cleaning(1.0, 0.0))
+        .ranks(ranks)
+        .threads(threads)
+        .build()
 }
 
 /// Sheath potential: φ(center) − φ(wall) = −∫_wall^center E_x dx, from the
@@ -92,10 +89,9 @@ fn main() -> Result<(), Error> {
     let mut history = EnergyHistory::every(0.1);
     app.run(t_end, &mut [&mut ledger, &mut history])?;
 
-    let backend = app.backend_name();
     println!(
         "sheath_1x1v: {nx}×{nv} cells, p=2, m_i/m_e = {MASS_RATIO}, t_end = {t_end} \
-         [{backend}, {ranks} rank(s) × {threads} thread(s)]"
+         [{ranks} rank(s) × {threads} thread(s)]"
     );
     let elc_lost = -ledger.net_mass(0);
     let ion_lost = -ledger.net_mass(1);
@@ -120,9 +116,8 @@ fn main() -> Result<(), Error> {
     );
 
     if ranks >= 2 {
-        // The identical declaration through the single-threaded serial
-        // backend must match the ranks × threads trajectory bit for bit,
-        // ledger included.
+        // The identical declaration on one rank and one thread must match
+        // the ranks × threads trajectory bit for bit, ledger included.
         let mut twin = build(nx, nv, length, 1, 1)?;
         let mut twin_ledger = WallFluxLedger::every(0.1);
         let mut twin_history = EnergyHistory::every(0.1);
@@ -141,7 +136,7 @@ fn main() -> Result<(), Error> {
         );
         assert_eq!(
             ledger.samples, twin_ledger.samples,
-            "wall ledgers diverged between backends"
+            "wall ledgers diverged between decompositions"
         );
         println!("  rank-parallel ({ranks} ranks) bit-identical to serial ✓");
     }

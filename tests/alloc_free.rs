@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use vlasov_dg::basis::project::Projector;
 use vlasov_dg::basis::{Basis, BasisKind};
 use vlasov_dg::core::app::{AppBuilder, FieldSpec, SpeciesSpec};
-use vlasov_dg::core::blocks::BlockRhs;
+use vlasov_dg::core::blocks::Driver;
 use vlasov_dg::core::lbo::LboOp;
 use vlasov_dg::core::moments::{accumulate_current, MomentScratch};
 use vlasov_dg::core::species::{maxwellian, Species};
@@ -239,69 +239,71 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         );
     }
 
-    // --- Cell-block threaded sweep: the full coupled RHS (kinetic sweep
-    // on the worker pool + LBO + wall ledger + field/moment coupling) must
-    // also be allocation-free after warm-up. The counter is
+    // --- Whole driver steps: three coupled RHS evaluations (kinetic
+    // block sweep + LBO + wall ledger + field/moment coupling) and the
+    // three ledger folds must be allocation-free after warm-up, both on
+    // the inline one-thread path and on the worker pool. The counter is
     // process-global, so worker-thread allocations are caught too —
-    // per-block workspaces, raw-pointer field views, and the pool's fixed
-    // broadcast command slot are what make this pass. ---
-    let (mut sys, state) = AppBuilder::new()
-        .conf_grid(&[0.0], &[4.0], &[5])
-        .poly_order(1)
-        .basis(BasisKind::Serendipity)
-        .conf_bc(vec![DimBc::new(Bc::Reflect, Bc::Absorb)])
-        .species(
-            SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[6])
-                .initial(|x, v| maxwellian(1.0 + 0.05 * x[0], &[0.3], 0.9, v))
-                .collisions(0.4),
-        )
-        .field(FieldSpec::new(2.0).cleaning(1.0, 0.0))
-        .build()
-        .unwrap()
-        .into_parts();
-    let mut block = BlockRhs::new(&sys, 1, 3);
-    let mut out = sys.new_state();
-    block.rhs(&mut sys, &state, &mut out); // warm-up
-    let n = count_allocs(|| {
-        for _ in 0..3 {
-            block.rhs(&mut sys, &state, &mut out);
-        }
-    });
-    assert_eq!(
-        n, 0,
-        "threaded block RHS allocated {n} times in the hot loop"
-    );
+    // persistent stage buffers and per-block workspaces, raw-pointer field
+    // views, and the pool's fixed broadcast command slot are what make
+    // this pass.
+    //
+    // The same steps with telemetry collection ON must still allocate
+    // nothing — a span is an RAII guard holding one `Arc` refcount bump
+    // over the preallocated registry, and counters are relaxed atomic
+    // adds into fixed arrays. The warm-up also initializes the process
+    // clock epoch (`OnceLock` stores its `Instant` inline, but first-use
+    // must not be counted as part of the steady state). ---
+    let dt = 1e-3;
+    for threads in [1usize, 3] {
+        let (sys, mut state) = AppBuilder::new()
+            .conf_grid(&[0.0], &[4.0], &[5])
+            .poly_order(1)
+            .basis(BasisKind::Serendipity)
+            .conf_bc(vec![DimBc::new(Bc::Reflect, Bc::Absorb)])
+            .species(
+                SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[6])
+                    .initial(|x, v| maxwellian(1.0 + 0.05 * x[0], &[0.3], 0.9, v))
+                    .collisions(0.4),
+            )
+            .field(FieldSpec::new(2.0).cleaning(1.0, 0.0))
+            .build()
+            .unwrap()
+            .into_parts();
+        let mut driver = Driver::new(sys, 1, threads).unwrap();
+        driver.step(&mut state, dt); // warm-up
+        let n = count_allocs(|| {
+            for _ in 0..3 {
+                driver.step(&mut state, dt);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "driver step at (ranks, threads) = (1, {threads}) allocated {n} times"
+        );
 
-    // --- Telemetry-active sweep: the ISSUE-10 gate. With collection ON,
-    // the same coupled RHS must still allocate nothing — a span is an
-    // RAII guard holding one `Arc` refcount bump over the preallocated
-    // registry, and counters are relaxed atomic adds into fixed arrays.
-    // The warm-up also initializes the process clock epoch (`OnceLock`
-    // stores its `Instant` inline, but first-use must not be counted as
-    // part of the steady state). ---
-    let reg = std::sync::Arc::new(vlasov_dg::telemetry::Registry::new(
-        1 + block.blocks().len(),
-    ));
-    block.instrument(&reg);
-    let probe = reg.collector(0);
-    sys.instrument(&probe);
-    block.rhs(&mut sys, &state, &mut out); // warm-up
-    let snap0 = reg.snapshot();
-    let n = count_allocs(|| {
-        for _ in 0..3 {
-            block.rhs(&mut sys, &state, &mut out);
-        }
-    });
-    assert_eq!(
-        n, 0,
-        "telemetry-instrumented block RHS allocated {n} times in the hot loop"
-    );
-    let delta = reg.snapshot().delta(&snap0);
-    assert_eq!(
-        delta.counter(vlasov_dg::telemetry::Counter::RhsEvals),
-        3,
-        "collection was not actually active during the counted loop"
-    );
+        let reg = std::sync::Arc::new(vlasov_dg::telemetry::Registry::new(
+            driver.telemetry_slots(),
+        ));
+        driver.instrument(&reg);
+        driver.step(&mut state, dt); // warm-up
+        let snap0 = reg.snapshot();
+        let n = count_allocs(|| {
+            for _ in 0..3 {
+                driver.step(&mut state, dt);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "telemetry-instrumented driver step at (1, {threads}) allocated {n} times"
+        );
+        let delta = reg.snapshot().delta(&snap0);
+        assert_eq!(
+            delta.counter(vlasov_dg::telemetry::Counter::RhsEvals),
+            9,
+            "collection was not actually active during the counted steps"
+        );
+    }
 
     // --- Initial-condition projection: the per-cell set-up loop. Once a
     // projector has tabulated its Gauss rule and basis values, projecting

@@ -1,17 +1,17 @@
-//! Backend equivalence through the *public App API*: the same declaration
-//! built with `AppBuilder::backend(Serial)` and
-//! `AppBuilder::backend(RankParallel { .. })` must produce bit-identical
-//! trajectories — the paper's Fig. 3 premise that decomposition is pure
-//! execution policy, surfaced as an API contract (the hand-wired
-//! `ParVlasovMaxwell` path is covered separately in `parallel_equiv.rs`).
+//! Decomposition equivalence through the *public App API*: the same
+//! declaration built with the defaults (one rank, one thread) and with
+//! `.ranks(r).threads(t)` must produce bit-identical trajectories — the
+//! paper's Fig. 3 premise that decomposition is pure execution policy,
+//! surfaced as an API contract (the hand-wired driver is covered
+//! separately in `parallel_equiv.rs`).
 
 use vlasov_dg::core::app::App;
 use vlasov_dg::core::species::maxwellian;
 use vlasov_dg::prelude::*;
 
-fn make_app(nx: usize, backend: Option<RankParallel>) -> App {
+fn make_app(nx: usize, ranks: usize, threads: usize) -> App {
     let k = 0.5;
-    let mut b = AppBuilder::new()
+    AppBuilder::new()
         .conf_grid(&[0.0], &[2.0 * std::f64::consts::PI / k], &[nx])
         .poly_order(1)
         .basis(BasisKind::Serendipity)
@@ -24,11 +24,11 @@ fn make_app(nx: usize, backend: Option<RankParallel>) -> App {
             SpeciesSpec::new("ion", 1.0, 100.0, &[-6.0, -6.0], &[6.0, 6.0], &[6, 6])
                 .initial(|_x, v| maxwellian(1.0, &[0.0, 0.0], 0.1, v)),
         )
-        .field(FieldSpec::new(2.0).with_poisson_init().cleaning(1.0, 1.0));
-    if let Some(factory) = backend {
-        b = b.backend(factory);
-    }
-    b.build().unwrap()
+        .field(FieldSpec::new(2.0).with_poisson_init().cleaning(1.0, 1.0))
+        .ranks(ranks)
+        .threads(threads)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -36,14 +36,12 @@ fn rank_parallel_backend_is_bit_identical_through_run() {
     // Adaptive (CFL-suggested) stepping: the dt sequence itself must also
     // agree, which run() exercises end to end, observers included.
     let t_end = 0.02;
-    let mut serial = make_app(9, None);
-    assert_eq!(serial.backend_name(), "serial");
+    let mut serial = make_app(9, 1, 1);
     let mut serial_hist = EnergyHistory::every(5e-3);
     serial.run(t_end, &mut [&mut serial_hist]).unwrap();
 
     for ranks in [2usize, 3, 9] {
-        let mut par = make_app(9, Some(RankParallel { ranks, threads: 2 }));
-        assert_eq!(par.backend_name(), "rank-parallel");
+        let mut par = make_app(9, ranks, 2);
         let mut par_hist = EnergyHistory::every(5e-3);
         par.run(t_end, &mut [&mut par_hist]).unwrap();
 
@@ -76,16 +74,10 @@ fn rank_parallel_backend_is_bit_identical_through_run() {
 fn rank_parallel_survives_awkward_rank_counts() {
     // Prime cell count, more ranks than slabs: empty ranks must be
     // harmless and still bit-identical.
-    let mut serial = make_app(7, None);
+    let mut serial = make_app(7, 1, 1);
     serial.set_fixed_dt(5e-4);
     serial.run(0.002, &mut []).unwrap();
-    let mut par = make_app(
-        7,
-        Some(RankParallel {
-            ranks: 16,
-            threads: 3,
-        }),
-    );
+    let mut par = make_app(7, 16, 3);
     par.set_fixed_dt(5e-4);
     par.run(0.002, &mut []).unwrap();
     assert_eq!(
@@ -94,11 +86,11 @@ fn rank_parallel_survives_awkward_rank_counts() {
     );
 }
 
-fn make_walled_app(nx: usize, backend: Option<RankParallel>) -> App {
+fn make_walled_app(nx: usize, ranks: usize, threads: usize) -> App {
     // Bounded domain: electrons reflect on the left and are absorbed on
     // the right, ions absorb on both sides — the decomposed dim-0 edges
     // are walls, not halo exchanges, and rank 0 / the last rank own them.
-    let mut b = AppBuilder::new()
+    AppBuilder::new()
         .conf_grid(&[0.0], &[4.0], &[nx])
         .poly_order(1)
         .basis(BasisKind::Serendipity)
@@ -112,11 +104,11 @@ fn make_walled_app(nx: usize, backend: Option<RankParallel>) -> App {
                 .initial(|_x, v| maxwellian(1.0, &[0.0], 0.2, v))
                 .conf_bc(vec![Bc::Absorb]),
         )
-        .field(FieldSpec::new(2.0).cleaning(1.0, 0.0));
-    if let Some(factory) = backend {
-        b = b.backend(factory);
-    }
-    b.build().unwrap()
+        .field(FieldSpec::new(2.0).cleaning(1.0, 0.0))
+        .ranks(ranks)
+        .threads(threads)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -125,7 +117,7 @@ fn walled_domain_is_bit_identical_across_backends() {
     // and the halo logic must not wrap. States, dt sequences, observer
     // views, and the wall-flux ledger all agree bit for bit.
     let t_end = 0.02;
-    let mut serial = make_walled_app(9, None);
+    let mut serial = make_walled_app(9, 1, 1);
     let mut serial_ledger = WallFluxLedger::every(5e-3);
     serial.run(t_end, &mut [&mut serial_ledger]).unwrap();
     assert!(
@@ -135,7 +127,7 @@ fn walled_domain_is_bit_identical_across_backends() {
     );
 
     for ranks in [2usize, 3, 9] {
-        let mut par = make_walled_app(9, Some(RankParallel { ranks, threads: 2 }));
+        let mut par = make_walled_app(9, ranks, 2);
         let mut par_ledger = WallFluxLedger::every(5e-3);
         par.run(t_end, &mut [&mut par_ledger]).unwrap();
         assert_eq!(
@@ -173,10 +165,7 @@ fn zero_rank_backend_is_a_build_error() {
                 .initial(|_x, v| maxwellian(1.0, &[0.0], 1.0, v)),
         )
         .field(FieldSpec::new(1.0))
-        .backend(RankParallel {
-            ranks: 0,
-            threads: 1,
-        })
+        .ranks(0)
         .build()
         .err()
         .expect("zero ranks must not build");

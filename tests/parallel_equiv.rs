@@ -1,13 +1,14 @@
 //! End-to-end parallel ≡ serial: full multi-species Vlasov–Maxwell
-//! trajectories under the two-level decomposition must match the serial
-//! sweep bit-for-bit for every rank count — determinism is part of the
+//! trajectories stepped by the driver under the two-level (ranks ×
+//! threads) decomposition must match the one-block App bit-for-bit for
+//! every rank count — determinism is part of the
 //! contract (the paper's decomposition communicates identical halo data in
 //! a fixed order; ours reproduces the exact floating-point addition order).
 
 use vlasov_dg::basis::BasisKind;
 use vlasov_dg::core::app::{App, AppBuilder, FieldSpec, SpeciesSpec};
+use vlasov_dg::core::blocks::Driver;
 use vlasov_dg::core::species::maxwellian;
-use vlasov_dg::parallel::ParVlasovMaxwell;
 
 fn make_app(nx: usize) -> App {
     let k = 0.5;
@@ -41,11 +42,9 @@ fn trajectories_match_bitwise_for_all_rank_counts() {
 
     for ranks in [2usize, 3, 4, 9] {
         let (sys, mut state) = make_app(9).into_parts();
-        let mut par = ParVlasovMaxwell::new(sys, ranks, 2);
-        let mut stage = par.system.new_state();
-        let mut rhs = par.system.new_state();
+        let mut driver = Driver::new(sys, ranks, 2).unwrap();
         for _ in 0..steps {
-            par.step(&mut state, &mut stage, &mut rhs, dt);
+            driver.step(&mut state, dt);
         }
         for s in 0..2 {
             assert_eq!(
@@ -72,11 +71,9 @@ fn decomposition_survives_awkward_grid_sizes() {
         serial.step().unwrap();
     }
     let (sys, mut state) = make_app(7).into_parts();
-    let mut par = ParVlasovMaxwell::new(sys, 5, 3);
-    let mut stage = par.system.new_state();
-    let mut rhs = par.system.new_state();
+    let mut driver = Driver::new(sys, 5, 3).unwrap();
     for _ in 0..3 {
-        par.step(&mut state, &mut stage, &mut rhs, dt);
+        driver.step(&mut state, dt);
     }
     assert_eq!(
         serial.state().species_f[0].as_slice(),

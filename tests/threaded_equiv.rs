@@ -42,13 +42,11 @@ fn threaded_serial_backend_is_bit_identical_through_run() {
     // workers with fewer blocks).
     let t_end = 0.02;
     let mut baseline = make_app(9, None);
-    assert_eq!(baseline.backend_name(), "serial");
     let mut baseline_hist = EnergyHistory::every(5e-3);
     baseline.run(t_end, &mut [&mut baseline_hist]).unwrap();
 
     for threads in [1usize, 2, 5] {
         let mut threaded = make_app(9, Some(threads));
-        assert_eq!(threaded.backend_name(), "serial");
         let mut hist = EnergyHistory::every(5e-3);
         threaded.run(t_end, &mut [&mut hist]).unwrap();
 
@@ -156,29 +154,5 @@ fn zero_threads_is_a_typed_build_error() {
         .build()
         .err()
         .expect("zero threads must not build");
-    assert!(matches!(err, Error::Build(_)), "got {err:?}");
-}
-
-#[test]
-fn threads_with_explicit_backend_is_a_build_error() {
-    // `threads(n)` configures the *default* Serial backend; an explicit
-    // factory carries its own knob, and silently ignoring one of the two
-    // would be a trap.
-    let err = AppBuilder::new()
-        .conf_grid(&[0.0], &[1.0], &[4])
-        .poly_order(1)
-        .species(
-            SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[4])
-                .initial(|_x, v| maxwellian(1.0, &[0.0], 1.0, v)),
-        )
-        .field(FieldSpec::new(1.0))
-        .backend(RankParallel {
-            ranks: 2,
-            threads: 1,
-        })
-        .threads(2)
-        .build()
-        .err()
-        .expect("threads + explicit backend must not build");
     assert!(matches!(err, Error::Build(_)), "got {err:?}");
 }
